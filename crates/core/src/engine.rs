@@ -18,10 +18,11 @@
 //!   query source → attached-path entry, attached-path exit → query
 //!   destination, anchor → next-hop entry — always start or end at a region
 //!   vertex, so they are precomputed with one bounded one-to-many search per
-//!   region vertex.  Extracting a path from a search that ran longer is
-//!   bit-identical to the early-stopped per-query search (settled parents
-//!   never change), so cached connectors answer exactly like live Dijkstra —
-//!   without running one.
+//!   distinct `(region, source)`, where a source is a region vertex, an entry
+//!   anchor of the region, or both (one search then serves both roles).
+//!   Extracting a path from a search that ran longer is bit-identical to the
+//!   early-stopped per-query search (settled parents never change), so cached
+//!   connectors answer exactly like live Dijkstra — without running one.
 //!
 //! Unlike the historical `PreparedRouter<'a>` (which borrowed the network
 //! and region graph it compiled), an `Engine` **owns** its model behind an
@@ -44,7 +45,8 @@
 //! an equivalence test sweeping vertex-pair grids on the D1/D2 datasets, and
 //! across threads by `crates/core/tests/engine_concurrency.rs`.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::sync::Arc;
 
 use l2r_region_graph::{RegionGraph, RegionId};
@@ -178,10 +180,12 @@ impl Engine {
     /// model data.
     ///
     /// The three compile stages — oriented-path resolution per region edge,
-    /// inner-path indexing per region, connector searches per region — are
-    /// each embarrassingly parallel and fan out across `L2R_THREADS` workers;
-    /// results are merged in index order, so the compiled engine is identical
-    /// to a single-threaded build.
+    /// inner-path indexing per region, one connector search per distinct
+    /// `(region, source)` — are each embarrassingly parallel and fan out
+    /// across `L2R_THREADS` workers (connector searches are claimed one at a
+    /// time, since a few hub regions hold most of their cost); results are
+    /// merged in index order, so the compiled engine is identical to a
+    /// single-threaded build.
     pub fn from_shared(model: Arc<L2r>) -> Engine {
         let net = model.network();
         let rg = model.region_graph();
@@ -192,7 +196,7 @@ impl Engine {
         let inner = l2r_par::par_map(rg.regions(), |_, r| {
             InnerPathIndex::build(rg.inner_paths(r.id))
         });
-        let connectors = resolve_connectors(net, rg, &oriented);
+        let connectors = resolve_connectors(net, rg, &oriented, l2r_par::max_threads());
         Engine {
             model,
             oriented,
@@ -614,6 +618,36 @@ impl L2r {
     }
 }
 
+/// One connector search: a distinct `(region, source)` pair and the roles
+/// the source plays for that region.
+struct ConnectorUnit {
+    region: RegionId,
+    source: VertexId,
+    /// `source` is a region vertex and the region has out-targets.
+    head: bool,
+    /// `source` is an entry anchor of the region.
+    tail: bool,
+}
+
+/// The connectors one unit's search found: each target with the range of
+/// its path in `vertices` (`None` = unreachable), heads before `split`,
+/// tails from it on.
+#[derive(Default)]
+struct UnitPaths {
+    targets: Vec<(VertexId, Option<Range<usize>>)>,
+    vertices: Vec<VertexId>,
+    split: usize,
+}
+
+impl UnitPaths {
+    fn push(&mut self, space: &SearchSpace, to: VertexId) {
+        let start = self.vertices.len();
+        let found = space.extend_path_to(to, &mut self.vertices);
+        let range = found.then_some(start..self.vertices.len());
+        self.targets.push((to, range));
+    }
+}
+
 /// Precomputes the fastest-path connectors the Case-1 serving path can need.
 ///
 /// Every such stub starts or ends at a region vertex:
@@ -625,15 +659,27 @@ impl L2r {
 ///   fallback center of `r`) → any vertex of `r` (the query destination, or
 ///   the entry of the next leg).
 ///
-/// One `dijkstra_to_many` per source covers all of its targets; extracting
-/// `path_to(t)` from that search is bit-identical to the early-stopped
-/// per-query search the free router runs, because a settled vertex's parent
-/// never changes after it settles.  Cache size and prepare cost stay linear
-/// in `Σ |region| × (adjacent edges)` — no all-pairs blowup.
+/// The work is a flat list of units, one per distinct `(region, source)`:
+/// a source that is both a region vertex and an entry anchor runs **one**
+/// `dijkstra_to_many` to the union of out-targets and region vertices, and
+/// both its head and its tail entries are read off that search.  Extracting
+/// `path_to(t)` from a search that ran longer is bit-identical to the
+/// early-stopped per-query search the free router runs, because a settled
+/// vertex's parent never changes after it settles — so a connector's value
+/// depends on its key alone, however many targets its search had.
+///
+/// A few hub regions hold most of the search cost, so `threads` workers
+/// claim units one at a time (each with its own `SearchSpace`) rather than
+/// in region chunks.  The serial merge replays units in order with the
+/// `insert` (head) / `or_insert` (tail) semantics of a single-threaded
+/// build, so the map is identical for every worker count.  Cache size and
+/// compile cost stay linear in `Σ |region| × (adjacent edges)` — no
+/// all-pairs blowup.
 fn resolve_connectors(
     net: &RoadNetwork,
     rg: &RegionGraph,
     oriented: &[OrientedPaths],
+    threads: usize,
 ) -> HashMap<(VertexId, VertexId), Option<Path>> {
     let nr = rg.num_regions();
     // Per region: the connector targets its vertices may route *out* to.
@@ -664,66 +710,103 @@ fn resolve_connectors(
         }
     }
 
-    for r in 0..nr {
-        out_targets[r].sort_unstable();
-        out_targets[r].dedup();
-        entry_anchors[r].sort_unstable();
-        entry_anchors[r].dedup();
+    for targets in &mut out_targets {
+        targets.sort_unstable();
+        targets.dedup();
     }
 
-    // The searches for different regions are independent (every connector key
-    // starts at a vertex of its region, and regions partition the vertices),
-    // so they fan out across workers — one reusable `SearchSpace` per worker.
-    // Each region returns its head inserts and tail inserts separately; the
-    // serial merge below replays them in region order with the exact
-    // `insert` / `or_insert` semantics of a single-threaded build, so the
-    // resulting map is identical.
+    // One unit per distinct source of each region, in region order and then
+    // source order.  Out-of-range sources have nothing to search.
     let n = net.num_vertices();
-    type ConnectorEntry = ((VertexId, VertexId), Option<Path>);
-    let per_region: Vec<(Vec<ConnectorEntry>, Vec<ConnectorEntry>)> =
-        l2r_par::par_map_init(rg.regions(), SearchSpace::new, |space, _, region| {
-            let r = region.id.idx();
-            let mut heads: Vec<ConnectorEntry> = Vec::new();
-            let mut tails: Vec<ConnectorEntry> = Vec::new();
-            // Head connectors: every region vertex reaches every out-target.
-            if !out_targets[r].is_empty() {
-                for &v in &region.vertices {
-                    if v.idx() >= n {
-                        continue;
-                    }
-                    space.dijkstra_to_many(net, v, &out_targets[r], |e| {
-                        e.cost(CostType::TravelTime)
-                    });
-                    for &t in &out_targets[r] {
-                        if t != v {
-                            heads.push(((v, t), space.path_to(t)));
-                        }
-                    }
-                }
+    let mut units: Vec<ConnectorUnit> = Vec::new();
+    for region in rg.regions() {
+        let r = region.id.idx();
+        // source → (head, tail)
+        let mut roles: BTreeMap<VertexId, (bool, bool)> = BTreeMap::new();
+        if !out_targets[r].is_empty() {
+            for &v in &region.vertices {
+                roles.entry(v).or_default().0 = true;
             }
-            // Tail / next-hop connectors: every entry anchor reaches every
-            // region vertex.
-            for &a in &entry_anchors[r] {
-                if a.idx() >= n {
-                    continue;
-                }
-                space.dijkstra_to_many(net, a, &region.vertices, |e| e.cost(CostType::TravelTime));
-                for &t in &region.vertices {
-                    if t != a {
-                        tails.push(((a, t), space.path_to(t)));
-                    }
-                }
-            }
-            (heads, tails)
-        });
-
-    let mut connectors: HashMap<(VertexId, VertexId), Option<Path>> = HashMap::new();
-    for (heads, tails) in per_region {
-        for (key, path) in heads {
-            connectors.insert(key, path);
         }
-        for (key, path) in tails {
-            connectors.entry(key).or_insert(path);
+        for &a in &entry_anchors[r] {
+            roles.entry(a).or_default().1 = true;
+        }
+        units.extend(
+            roles
+                .into_iter()
+                .filter(|(source, _)| source.idx() < n)
+                .map(|(source, (head, tail))| ConnectorUnit {
+                    region: region.id,
+                    source,
+                    head,
+                    tail,
+                }),
+        );
+    }
+
+    // Each unit returns its head entries, then its tail entries from `split`
+    // on, with every path's vertices in one flat buffer.  The workers build
+    // no `Path`: the serial merge below allocates them all on the calling
+    // thread, in unit order, so the engine's long-lived paths are not
+    // interleaved on the heap with the workers' short-lived buffers.
+    // Interleaved, they fragmented the heap and slowed every later fit in
+    // the serving process by about a tenth (full-scale D1).
+    let per_unit: Vec<UnitPaths> = l2r_par::par_map_each_with(
+        threads,
+        &units,
+        || (SearchSpace::new(), Vec::new()),
+        |(space, union), _, unit| {
+            let region = rg.region(unit.region);
+            let out = &out_targets[unit.region.idx()];
+            let targets: &[VertexId] = match (unit.head, unit.tail) {
+                (true, true) => {
+                    union.clear();
+                    union.extend_from_slice(out);
+                    union.extend_from_slice(&region.vertices);
+                    union
+                }
+                (true, false) => out,
+                _ => &region.vertices,
+            };
+            let v = unit.source;
+            space.dijkstra_to_many(net, v, targets, |e| e.cost(CostType::TravelTime));
+            let mut paths = UnitPaths::default();
+            // Head connectors: the region vertex reaches every out-target.
+            if unit.head {
+                for &t in out.iter().filter(|&&t| t != v) {
+                    paths.push(space, t);
+                }
+            }
+            paths.split = paths.targets.len();
+            // Tail / next-hop connectors: the entry anchor reaches every
+            // region vertex.
+            if unit.tail {
+                for &t in region.vertices.iter().filter(|&&t| t != v) {
+                    paths.push(space, t);
+                }
+            }
+            paths
+        },
+    );
+
+    // Sized once up front: growing by doubling would rehash and leave each
+    // outgrown table as a hole among the paths.
+    let entries = per_unit.iter().map(|p| p.targets.len()).sum();
+    let mut connectors: HashMap<(VertexId, VertexId), Option<Path>> =
+        HashMap::with_capacity(entries);
+    for (unit, paths) in units.iter().zip(per_unit) {
+        for (i, (target, range)) in paths.targets.iter().enumerate() {
+            let key = (unit.source, *target);
+            let path = || {
+                range.clone().map(|r| {
+                    Path::new(paths.vertices[r].to_vec()).expect("a reached target's path holds it")
+                })
+            };
+            if i < paths.split {
+                connectors.insert(key, path());
+            } else {
+                connectors.entry(key).or_insert_with(path);
+            }
         }
     }
     connectors
@@ -740,13 +823,64 @@ mod tests {
     use l2r_region_graph::{bottom_up_clustering, TrajectoryGraph};
 
     fn build() -> (RoadNetwork, RegionGraph) {
+        build_with_apply(true)
+    }
+
+    /// The tiny network's region graph; without the apply step its B-edges
+    /// keep no attached path, so both of their orientations fall back to the
+    /// neighbouring region's first transfer center.
+    fn build_with_apply(apply: bool) -> (RoadNetwork, RegionGraph) {
         let syn = generate_network(&SyntheticNetworkConfig::tiny());
         let wl = generate_workload(&syn, &WorkloadConfig::tiny(250));
         let tg = TrajectoryGraph::build(&syn.net, &wl.trajectories);
         let clusters = bottom_up_clustering(&tg);
         let mut rg = RegionGraph::build(&syn.net, &clusters, &wl.trajectories, 2);
-        apply_preferences_to_b_edges(&syn.net, &mut rg, &std::collections::HashMap::new(), 2);
+        if apply {
+            apply_preferences_to_b_edges(&syn.net, &mut rg, &std::collections::HashMap::new(), 2);
+        }
         (syn.net.clone(), rg)
+    }
+
+    /// The connector keys as `resolve_connectors` documents them, derived
+    /// straight from the region edges: for every orientation `from → to`,
+    /// heads run from each vertex of `from` to the orientation's entry (or
+    /// fallback center), tails from its exit (or fallback center) to each
+    /// vertex of `to`.  Also returns how many orientations fell back.
+    fn documented_connector_keys(
+        rg: &RegionGraph,
+        oriented: &[OrientedPaths],
+    ) -> (std::collections::HashSet<(VertexId, VertexId)>, usize) {
+        let mut keys = std::collections::HashSet::new();
+        let mut fallbacks = 0;
+        for edge in rg.edges() {
+            let o = &oriented[edge.id.idx()];
+            for (from, to, seg) in [
+                (edge.a, edge.b, o.forward.as_ref()),
+                (edge.b, edge.a, o.backward.as_ref()),
+            ] {
+                let (target, anchor) = match seg {
+                    Some(p) => (p.source(), p.destination()),
+                    None => match rg.transfer_centers_or_default(to).first() {
+                        Some(&c) => {
+                            fallbacks += 1;
+                            (c, c)
+                        }
+                        None => continue,
+                    },
+                };
+                for &v in &rg.region(from).vertices {
+                    if v != target {
+                        keys.insert((v, target));
+                    }
+                }
+                for &w in &rg.region(to).vertices {
+                    if w != anchor {
+                        keys.insert((anchor, w));
+                    }
+                }
+            }
+        }
+        (keys, fallbacks)
     }
 
     #[test]
@@ -814,12 +948,42 @@ mod tests {
 
     #[test]
     fn cached_connectors_match_live_fastest_paths() {
-        let (net, rg) = build();
-        let engine = Engine::from_graphs(&net, &rg);
-        assert!(engine.num_connectors() > 0);
-        for ((from, to), cached) in engine.connectors.iter().take(500) {
-            let live = l2r_road_network::fastest_path(&net, *from, *to);
-            assert_eq!(cached, &live, "connector {from:?} -> {to:?}");
+        for apply in [true, false] {
+            let (net, rg) = build_with_apply(apply);
+            let engine = Engine::from_graphs(&net, &rg);
+            assert!(engine.num_connectors() > 0);
+            // Every entry answers exactly like a live search.
+            for ((from, to), cached) in &engine.connectors {
+                let live = l2r_road_network::fastest_path(&net, *from, *to);
+                assert_eq!(
+                    cached, &live,
+                    "connector {from:?} -> {to:?} (apply={apply})"
+                );
+            }
+            // No role dropped, none invented: the key set is the documented one.
+            let (expected, fallbacks) = documented_connector_keys(&rg, &engine.oriented);
+            let actual: std::collections::HashSet<(VertexId, VertexId)> =
+                engine.connectors.keys().copied().collect();
+            assert_eq!(actual, expected, "connector key set (apply={apply})");
+            // Without the apply step, B-edge orientations have no path and
+            // their fallback centers become out-targets and entry anchors.
+            if !apply {
+                assert!(fallbacks > 0, "the fallback case should be exercised");
+            }
+        }
+    }
+
+    #[test]
+    fn connector_compile_is_identical_across_worker_counts() {
+        for apply in [true, false] {
+            let (net, rg) = build_with_apply(apply);
+            let engine = Engine::from_graphs(&net, &rg);
+            let serial = resolve_connectors(&net, &rg, &engine.oriented, 1);
+            assert_eq!(serial.len(), engine.num_connectors());
+            for threads in [2, 4] {
+                let parallel = resolve_connectors(&net, &rg, &engine.oriented, threads);
+                assert_eq!(parallel, serial, "threads={threads} (apply={apply})");
+            }
         }
     }
 

@@ -14,6 +14,9 @@
 //!   thread rather than once per item.
 //! * **Chunked work stealing** — workers grab fixed-size chunks of the index
 //!   range from a shared atomic cursor, so uneven item costs still balance.
+//!   [`par_map_each_with`] claims one item at a time instead, for inputs
+//!   where a handful of items carry most of the work and a chunk would pin
+//!   them all to one worker.
 //! * **`L2R_THREADS` override** — the thread count defaults to the available
 //!   hardware parallelism and can be pinned with the `L2R_THREADS`
 //!   environment variable (`L2R_THREADS=1` forces a fully serial run on the
@@ -120,6 +123,47 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &T) -> R + Sync,
 {
+    // 4 chunks per thread balances stealing overhead against tail latency
+    // from uneven item costs.
+    let chunk = items.len().div_ceil(threads.max(1) * 4);
+    par_map_chunked(threads, chunk, items, init, f)
+}
+
+/// [`par_map_with`] where workers claim **one item at a time** instead of a
+/// chunk of `len / (4 · threads)` items.
+///
+/// Use it when item costs are skewed enough that a few items dominate: a
+/// chunk keeps neighbouring expensive items on one worker (and caps the
+/// speedup at the cost of that chunk), while per-item claiming lets every
+/// worker take the next expensive item as soon as it is free.  Each claim is
+/// one atomic increment, so the items should be coarse (a search, not an
+/// addition).  Results are returned in input order, exactly as
+/// [`par_map_with`] returns them.
+pub fn par_map_each_with<T, R, S, I, F>(threads: usize, items: &[T], init: I, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &T) -> R + Sync,
+{
+    par_map_chunked(threads, 1, items, init, f)
+}
+
+/// The worker pool behind [`par_map_with`] and [`par_map_each_with`]:
+/// workers claim `chunk` consecutive indices per cursor increment.
+fn par_map_chunked<T, R, S, I, F>(
+    threads: usize,
+    chunk: usize,
+    items: &[T],
+    init: I,
+    f: F,
+) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &T) -> R + Sync,
+{
     let threads = threads.max(1).min(items.len());
     if threads <= 1 {
         let mut state = init();
@@ -130,9 +174,7 @@ where
             .collect();
     }
 
-    // Chunked work stealing: 4 chunks per thread balances stealing overhead
-    // against tail latency from uneven item costs.
-    let chunk = items.len().div_ceil(threads * 4).max(1);
+    let chunk = chunk.max(1);
     let cursor = AtomicUsize::new(0);
     let mut collected: Vec<(usize, R)> = Vec::with_capacity(items.len());
     std::thread::scope(|scope| {
@@ -142,6 +184,9 @@ where
                 let mut state = init();
                 let mut out: Vec<(usize, R)> = Vec::new();
                 loop {
+                    // ordering: Relaxed suffices — the cursor only hands out
+                    // disjoint index ranges; items are shared read-only and
+                    // results travel back through `join`, which synchronises.
                     let start = cursor.fetch_add(chunk, Ordering::Relaxed);
                     if start >= items.len() {
                         break;
@@ -241,6 +286,55 @@ mod tests {
             )
         });
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn each_claim_matches_serial_under_skewed_costs() {
+        // Two expensive items up front, then many cheap ones: the shape that
+        // chunked claiming serialises onto one worker.
+        let items: Vec<u64> = (0..200).collect();
+        let work = |i: usize, v: &u64| -> u64 {
+            let rounds = if i < 2 { 200_000 } else { 10 };
+            (0..rounds).fold(*v, |acc, k| {
+                acc.wrapping_mul(6364136223846793005).wrapping_add(k)
+            })
+        };
+        let serial: Vec<u64> = items.iter().enumerate().map(|(i, v)| work(i, v)).collect();
+        for threads in [1, 2, 4] {
+            let out = par_map_each_with(threads, &items, || (), |(), i, v| work(i, v));
+            assert_eq!(out, serial, "threads={threads}");
+        }
+        assert!(par_map_each_with(3, &Vec::<u8>::new(), || (), |(), _, v| *v).is_empty());
+    }
+
+    #[test]
+    fn each_claim_hands_neighbouring_items_to_different_workers() {
+        use std::sync::{Condvar, Mutex};
+        use std::time::Duration;
+        // Items 0 and 1 each wait (bounded) until the other has started: they
+        // only meet if two workers hold them at once.  Chunked claiming puts
+        // both in one chunk on one worker, so the first would time out.
+        let arrived = Mutex::new(0usize);
+        let cv = Condvar::new();
+        let items: Vec<u32> = (0..64).collect();
+        let out = par_map_each_with(
+            2,
+            &items,
+            || (),
+            |(), i, _| {
+                if i >= 2 {
+                    return true;
+                }
+                let mut n = arrived.lock().unwrap();
+                *n += 1;
+                cv.notify_all();
+                let (n, _) = cv
+                    .wait_timeout_while(n, Duration::from_secs(30), |n| *n < 2)
+                    .unwrap();
+                *n >= 2
+            },
+        );
+        assert!(out[0] && out[1], "items 0 and 1 never ran concurrently");
     }
 
     #[test]

@@ -451,22 +451,38 @@ impl SearchSpace {
     /// Reconstructs the path from the source of the most recent search to
     /// `v`, or `None` when unreachable.
     pub fn path_to(&self, v: VertexId) -> Option<Path> {
-        self.cost_to(v)?;
-        let mut vertices = vec![v];
+        let mut vertices = Vec::new();
+        if !self.extend_path_to(v, &mut vertices) {
+            return None;
+        }
+        Path::new(vertices).ok()
+    }
+
+    /// Appends the vertices of [`SearchSpace::path_to`]`(v)` to `out` and
+    /// returns `true`, or leaves `out` untouched and returns `false` when `v`
+    /// is unreachable.  Lets a caller extracting many paths keep them in one
+    /// buffer instead of one allocation each.
+    pub fn extend_path_to(&self, v: VertexId, out: &mut Vec<VertexId>) -> bool {
+        if self.cost_to(v).is_none() {
+            return false;
+        }
+        let start = out.len();
         let mut current = v;
+        out.push(current);
         loop {
             let p = self.parent[current.idx()];
             if p == NO_PARENT {
                 break;
             }
             current = VertexId(p);
-            vertices.push(current);
+            out.push(current);
         }
-        if *vertices.last().expect("non-empty") != self.source {
-            return None;
+        if current != self.source {
+            out.truncate(start);
+            return false;
         }
-        vertices.reverse();
-        Path::new(vertices).ok()
+        out[start..].reverse();
+        true
     }
 
     /// Vertices in the order they were settled by the most recent search.
@@ -495,6 +511,36 @@ mod tests {
         b.add_two_way(v0, v2, RoadType::Residential).unwrap();
         b.add_two_way(v2, v3, RoadType::Residential).unwrap();
         b.build()
+    }
+
+    #[test]
+    fn extend_path_to_appends_exactly_what_path_to_returns() {
+        let mut b = RoadNetworkBuilder::new();
+        let v: Vec<VertexId> = (0..5)
+            .map(|i| b.add_vertex(Point::new(i as f64 * 1000.0, 0.0)))
+            .collect();
+        b.add_two_way(v[0], v[1], RoadType::Primary).unwrap();
+        b.add_two_way(v[1], v[2], RoadType::Primary).unwrap();
+        b.add_two_way(v[3], v[4], RoadType::Primary).unwrap();
+        let net = b.build();
+        let mut space = SearchSpace::new();
+        space.dijkstra_to_many(&net, v[0], &v, |e| e.cost(CostType::TravelTime));
+        let mut buf = vec![VertexId(99)];
+        for &t in &v {
+            let before = buf.len();
+            let found = space.extend_path_to(t, &mut buf);
+            match space.path_to(t) {
+                Some(p) => {
+                    assert!(found);
+                    assert_eq!(&buf[before..], p.vertices());
+                }
+                None => {
+                    assert!(!found, "{t:?} is unreachable");
+                    assert_eq!(buf.len(), before, "an unreachable target appends nothing");
+                }
+            }
+        }
+        assert_eq!(buf[0], VertexId(99), "earlier contents stay in place");
     }
 
     #[test]
